@@ -83,11 +83,13 @@ func (b *bench) check() []string {
 			}
 		}
 	}
-	var lost, stateBad, readBad int
+	var lost, stateBad, readBad, rejected int
 	var firstRead string
 	for _, s := range b.sessions {
 		for _, o := range s.ops {
 			switch {
+			case o.rejected:
+				rejected++
 			case !o.ok:
 			case o.read:
 				if o.balance > o.hi || o.balance < o.lo {
@@ -110,6 +112,9 @@ func (b *bench) check() []string {
 				}
 			}
 		}
+	}
+	if rejected > 0 {
+		bad = append(bad, fmt.Sprintf("%d operations answered with a non-OK or malformed result", rejected))
 	}
 	if lost > 0 {
 		bad = append(bad, fmt.Sprintf("%d acknowledged SPENDs missing from replica %d's chain", lost, ref.ID))

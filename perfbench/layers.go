@@ -63,6 +63,16 @@ func sumNodes(a, z counterSnap, f func(core.Stats) int64) int64 {
 	return n
 }
 
+// wireDrops is the number of frames tcpnet dropped since the deployment
+// started, for every cause; 0 on the in-memory network.
+func (b *bench) wireDrops() int64 {
+	var n int64
+	for _, ws := range b.cluster.WireStats() {
+		n += ws.TotalDrops()
+	}
+	return n
+}
+
 func ratio(num, den float64) float64 {
 	if den == 0 {
 		return 0
@@ -154,14 +164,14 @@ func runTraced(wl *workload, seed int64, total time.Duration, sessions int, outD
 			}
 		}
 	}
-	var frames, flushes, drops int64
+	var frames, flushes int64
 	for _, ws := range t.cluster.WireStats() {
-		drops += ws.TotalDrops()
 		for _, p := range ws.Peers {
 			frames += p.Sent
 			flushes += p.Flushes
 		}
 	}
+	drops := t.wireDrops()
 	epochs := map[phaseKind]int64{}
 	for _, p := range t.phases {
 		epochs[p.kind] += p.epochChanges
@@ -210,7 +220,8 @@ func runTraced(wl *workload, seed int64, total time.Duration, sessions int, outD
 	put("replay.execute_us_per_tx", rp.execUSPerTx, "us")
 	put("replay.verify_range_us_per_block", rp.rangeUSPerBlock, "us")
 	put("replay.filelog_sync_us", rp.filelogSyncUS, "us")
-	put("replay.verify_ratio", ratio(m["smr.verify_op_us"].Value, rp.sigUSPerTx), "ratio")
+	put("replay.verify_op_us", rp.verifyOpUS, "us")
+	put("replay.verify_ratio", ratio(m["smr.verify_op_us"].Value, rp.verifyOpUS), "ratio")
 	var transfers int64
 	for _, st := range end.nodes {
 		transfers += st.StateTransfers
@@ -248,8 +259,8 @@ func runTraced(wl *workload, seed int64, total time.Duration, sessions int, outD
 	}
 
 	rep.findings = append(rep.findings,
-		fmt.Sprintf("reconcile verify: traced VerifyOp %.2f us/request (self %.2f, %d spans) vs replay batched request-signature verify %.2f us/tx",
-			m["smr.verify_op_us"].Value, selfUS[spanVerifyOp], spanCount[spanVerifyOp], rp.sigUSPerTx),
+		fmt.Sprintf("reconcile verify: in-node VerifyOp %.2f us/call (self %.2f, %d spans) vs replayed VerifyOp %.2f us/call on one goroutine; replayed request-envelope verify %.2f us/signature",
+			m["smr.verify_op_us"].Value, selfUS[spanVerifyOp], spanCount[spanVerifyOp], rp.verifyOpUS, rp.sigUSPerTx),
 		fmt.Sprintf("reconcile execute: traced ExecuteBatch %.2f us/tx vs replay %.2f us/tx on a fresh service",
 			m["coin.execute_us_per_tx"].Value, rp.execUSPerTx),
 		fmt.Sprintf("reconcile storage: modeled HDD busy %.3f of the window, %.2f syncs/block vs local-disk FileLog append+sync %.0f us/block",
@@ -258,8 +269,12 @@ func runTraced(wl *workload, seed int64, total time.Duration, sessions int, outD
 			selfUS[spanOp], selfUS[spanSubmit]),
 		fmt.Sprintf("read cost: coin.read_us %.1f at %d UTXOs", m["coin.read_us"].Value, utxos),
 	)
-	if v, r := m["smr.verify_op_us"].Value, rp.sigUSPerTx; v > 0 && r > 0 && (v/r > 2 || r/v > 2) {
-		rep.findings = append(rep.findings, fmt.Sprintf("layer disagreement: one in-node verify costs %.2fx the batched replay per signature", v/r))
+	// Both sides time the same call on the same operations; what the
+	// in-node call costs beyond the replay is time its goroutine waited
+	// for a CPU while the node's verify workers, consensus and execution
+	// ran beside it.
+	if v, r := m["smr.verify_op_us"].Value, rp.verifyOpUS; v > 0 && r > 0 && (v/r > 2 || r/v > 2) {
+		rep.findings = append(rep.findings, fmt.Sprintf("layer disagreement: an in-node VerifyOp takes %.2fx the replayed one", v/r))
 	}
 	return rep, nil
 }

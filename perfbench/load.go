@@ -305,7 +305,14 @@ type op struct {
 	end      int64
 	submitNS int64
 	ok       bool
+	// failed marks an op the proxy gave up on (timeout, closed proxy, read
+	// floor not reached): a liveness failure, counted in failed and
+	// fail_frac. rejected marks a reply a correct program never gives:
+	// a SPEND of a session's own unspent coin whose result is not OK, or
+	// a result that does not parse. It also counts as failed, and the
+	// checks report every rejected op as a violation.
 	failed   bool
+	rejected bool
 
 	in, out coin.CoinID
 	txHash  crypto.Hash
@@ -440,7 +447,7 @@ func (s *session) finish(o *op, end int64, res []byte, err error) {
 	if o.read {
 		bal, perr := coin.ParseUint64Result(res)
 		if perr != nil {
-			o.failed = true
+			o.failed, o.rejected = true, true
 			return
 		}
 		o.balance, o.ok = bal, true
@@ -453,7 +460,7 @@ func (s *session) finish(o *op, end int64, res []byte, err error) {
 	}
 	code, _, perr := coin.ParseResult(res)
 	if perr != nil || code != coin.ResultOK {
-		o.failed = true
+		o.failed, o.rejected = true, true
 		return
 	}
 	o.ok = true

@@ -105,6 +105,10 @@ func run() int {
 		return 1
 	}
 	printJSON(res)
+	if !res.Correct {
+		fmt.Fprintf(os.Stderr, "perfbench: %d correctness violations\n", len(rep.violations))
+		return 1
+	}
 	return 0
 }
 
@@ -198,6 +202,9 @@ func runEndToEnd(wl *workload, seed int64, total time.Duration, sessions int) (*
 		"read_tput_ops_s": {e.readTput, "ops/s"},
 		"read_lat_p50_ms": {e.readP50, "ms"},
 		"outage_ms":       {e.outage, "ms"},
+	}
+	if drops := b.wireDrops(); drops > 0 {
+		rep.findings = append(rep.findings, fmt.Sprintf("tcp wire dropped %d frames", drops))
 	}
 	rep.findings = append(rep.findings,
 		fmt.Sprintf("tails: lat_p99_ms %.3f, read_lat_p99_ms %.3f", e.latP99, e.readP99),

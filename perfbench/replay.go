@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"smartchain/internal/blockchain"
+	"smartchain/internal/coin"
 	"smartchain/internal/core"
 	"smartchain/internal/smr"
 	"smartchain/internal/storage"
@@ -23,6 +24,7 @@ type replayResult struct {
 	blocks, txs      int
 	decodeUSPerBlock float64
 	sigUSPerTx       float64
+	verifyOpUS       float64
 	execUSPerTx      float64
 	rangeUSPerBlock  float64
 	filelogSyncUS    float64
@@ -30,8 +32,10 @@ type replayResult struct {
 }
 
 // replay times the layers one at a time on the chain: batch decoding,
-// batched request-signature verification, execution on a fresh service,
-// range verification from genesis, and FileLog append+sync.
+// request-signature verification, the application's VerifyOp, execution
+// on a fresh service, range verification from genesis, and FileLog
+// append+sync. Every step runs on one goroutine, so its time per item is
+// the CPU cost of one call, comparable with a wrapped call's self time.
 func (b *bench) replay(tmpRoot string) (replayResult, error) {
 	var r replayResult
 	chain := b.chain()
@@ -55,7 +59,9 @@ func (b *bench) replay(tmpRoot string) (replayResult, error) {
 		r.txs += len(bt.Requests)
 	}
 
-	pool := smr.NewVerifierPool(smr.VerifyParallel, 0)
+	// Request envelopes go through the node's batched path
+	// (crypto.BatchVerifier) with one worker.
+	pool := smr.NewVerifierPool(smr.VerifyParallel, 1)
 	start = time.Now()
 	var badSigs int
 	for _, bt := range batches {
@@ -69,6 +75,34 @@ func (b *bench) replay(tmpRoot string) (replayResult, error) {
 	pool.Close()
 	if badSigs > 0 {
 		r.violations = append(r.violations, fmt.Sprintf("replay: %d committed requests fail signature verification", badSigs))
+	}
+
+	// The application's VerifyOp on each application request, as the node
+	// calls it after the envelope check: it decodes the transaction and
+	// checks the signature embedded in it.
+	verifier := coin.NewService(nil)
+	var verifyOpTime time.Duration
+	var verifyOps, badOps int
+	for _, bt := range batches {
+		for _, req := range bt.Requests {
+			if len(req.Op) == 0 || req.Op[0] != core.OpApp {
+				continue
+			}
+			req.Op = req.Op[1:]
+			start = time.Now()
+			ok := verifier.VerifyOp(&req)
+			verifyOpTime += time.Since(start)
+			verifyOps++
+			if !ok {
+				badOps++
+			}
+		}
+	}
+	if badOps > 0 {
+		r.violations = append(r.violations, fmt.Sprintf("replay: %d committed operations fail VerifyOp", badOps))
+	}
+	if verifyOps > 0 {
+		r.verifyOpUS = us(verifyOpTime) / float64(verifyOps)
 	}
 
 	// Execute every block on a fresh service; every request the chain

@@ -14,6 +14,8 @@ type workload struct {
 	name string
 	why  string
 
+	// tcp runs the replicas and sessions over loopback TCP (tcpnet) instead
+	// of the in-memory network.
 	tcp         bool
 	persistence core.Persistence
 	storage     smr.StorageMode
@@ -102,7 +104,8 @@ var workloads = []*workload{
 	{
 		name:        "spend-strong",
 		window:      64,
-		why:         "headline config: HDD sync + PERSIST quorum, request verification and consensus do most of the work",
+		why:         "headline config on loopback TCP: HDD sync + PERSIST quorum, request verification, consensus and tcpnet framing do most of the work",
+		tcp:         true,
 		persistence: core.PersistenceStrong,
 		storage:     smr.StorageSync,
 		verify:      smr.VerifyParallel,
@@ -111,26 +114,10 @@ var workloads = []*workload{
 		cycle:       strongCycle,
 		maxTxPerSec: 3000,
 	},
-	// order-tcp runs by name but is not among BENCHMARK.json's workloads:
-	// over ten seeds its fixed-rate lat_p50_ms spread (interquartile range
-	// over median) reached 0.27, above the largest bound a metric may have.
-	{
-		name:        "order-tcp",
-		window:      64,
-		why:         "loopback TCP, weak, memory log, no verification: ordering window, codec and tcpnet framing do the work; bypass partner for storage/crypto",
-		tcp:         true,
-		persistence: core.PersistenceWeak,
-		storage:     smr.StorageMemory,
-		verify:      smr.VerifyNone,
-		maxBatch:    32,
-		rate:        1000,
-		cycle:       strongCycle,
-		maxTxPerSec: 10000,
-	},
 	{
 		name:          "read-mix",
 		window:        16,
-		why:           "spend-strong plus 40k bulk UTXOs, 80% session balance reads: reads scan every UTXO under execMu (known defect: at 120k UTXOs no write commits)",
+		why:           "spend-strong's settings on memnet plus 40k bulk UTXOs, 80% session balance reads: reads scan every UTXO under execMu (known defect: at 120k UTXOs no write commits)",
 		persistence:   core.PersistenceStrong,
 		storage:       smr.StorageSync,
 		verify:        smr.VerifyParallel,
@@ -145,7 +132,7 @@ var workloads = []*workload{
 	{
 		name:        "leader-crash",
 		window:      64,
-		why:         "spend-strong at 200 tx/s with the leader crashed mid-phase: the only workload that runs the regency-wide epoch change",
+		why:         "spend-strong's settings on memnet at 200 tx/s with the leader crashed mid-phase: the only workload that runs the regency-wide epoch change",
 		persistence: core.PersistenceStrong,
 		storage:     smr.StorageSync,
 		verify:      smr.VerifyParallel,
